@@ -107,11 +107,11 @@ def save_network(network: Network, path) -> None:
 
     The header carries ``layout: gate-stacked-v1`` — the recurrent
     weight convention (``wx``/``wh`` with gate blocks stacked along the
-    last axis, LSTM order i|f|g|o, GRU order z|r|g) that both the
-    reference and the fused kernels consume directly. Archives written
-    before the tag existed omit it; :func:`load_network` tolerates its
-    absence because the convention never changed — the fused kernels
-    were built to read the reference layout in place.
+    last axis, LSTM order i|f|g|o, GRU order z|r|g) that the fused
+    kernels and the reference test oracle consume directly. Archives
+    written before the tag existed omit it; :func:`load_network`
+    tolerates its absence because the convention never changed — the
+    fused kernels were built to read the reference layout in place.
     """
     header = {"format": "repro-network-v1",
               "layout": "gate-stacked-v1", **network_spec(network)}

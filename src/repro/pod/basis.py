@@ -38,6 +38,11 @@ _EIG_RTOL = 1e-12
 #: column orthonormality past 1e-6 after the ``1/sqrt(lambda_i)`` scaling.
 _POLISH_RTOL = 1e-8
 
+#: Max-abs exponent window inside which snapshots are used as given.
+#: Outside it ``C = S^T S`` (or its relative floors above) would underflow
+#: or overflow, so the snapshots are first rescaled by a power of two.
+_SAFE_EXPONENT = 128
+
 
 @dataclass(frozen=True)
 class PODBasis:
@@ -97,6 +102,21 @@ class PODBasis:
         return float(self.energies[:k].sum()) / total
 
 
+def _power_of_two_normalized(centered: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(centered * 2**-e, e)`` with the max-abs of the result in
+    ``[0.5, 1)`` when the data lie outside the safe exponent window, else
+    ``(centered, 0)``.
+
+    Power-of-two scaling is exact, so it leaves the modes unchanged and
+    rescales the energies exactly by ``4**e``; in-window inputs are
+    untouched and stay bitwise identical.
+    """
+    exponent = int(np.frexp(np.abs(centered).max(initial=0.0))[1])
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return centered, 0
+    return np.ldexp(centered, -exponent), exponent
+
+
 def _truncation_rank(energies: np.ndarray, n_modes: int | None) -> int:
     """Clip the requested mode count to the numerical rank."""
     floor = energies[0] * _EIG_RTOL if energies.size else 0.0
@@ -112,9 +132,13 @@ def pod_method_of_snapshots(snapshots: np.ndarray,
     """POD via the ``N_s x N_s`` correlation eigenproblem (paper Eq. 3-4).
 
     Orthonormal modes are obtained as ``psi_i = S w_i / sqrt(lambda_i)``.
+    The rank and polish floors are relative to ``lambda_max``, so they are
+    applied to the power-of-two-normalized spectrum, where they cannot
+    underflow.
     """
     snaps = check_matrix(snapshots, name="snapshots")
     centered, stats = center_snapshots(snaps)
+    centered, exponent = _power_of_two_normalized(centered)
     corr = centered.T @ centered
     # eigh returns ascending order; energies must be descending.
     eigvals, eigvecs = sla.eigh(corr)
@@ -138,19 +162,20 @@ def pod_method_of_snapshots(snapshots: np.ndarray,
         q, r = np.linalg.qr(modes)
         signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
         modes = q * signs[None, :]
-    return PODBasis(modes=np.ascontiguousarray(modes), energies=energies,
-                    stats=stats)
+    return PODBasis(modes=np.ascontiguousarray(modes),
+                    energies=np.ldexp(energies, 2 * exponent), stats=stats)
 
 
 def pod_svd(snapshots: np.ndarray, n_modes: int | None = None) -> PODBasis:
     """POD via thin SVD of the centered snapshot matrix."""
     snaps = check_matrix(snapshots, name="snapshots")
     centered, stats = center_snapshots(snaps)
+    centered, exponent = _power_of_two_normalized(centered)
     u, s, _ = sla.svd(centered, full_matrices=False)
     energies = s ** 2
     n_r = _truncation_rank(energies, n_modes)
     return PODBasis(modes=np.ascontiguousarray(u[:, :n_r]),
-                    energies=energies, stats=stats)
+                    energies=np.ldexp(energies, 2 * exponent), stats=stats)
 
 
 def fit_pod(snapshots: np.ndarray, n_modes: int | None = None,

@@ -351,20 +351,32 @@ class ForecastRouter:
             "router shut down before the request was served")
         for shard in list(self._shards.values()):
             shard.close(shutdown)
-        # 2. Stop accepting new clients.
+        # 2. Stop accepting new clients. Closing alone does not wake a
+        #    thread blocked in accept(); shutting the listener down does.
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        # 3. Give handlers a moment to flush their error frames, then
-        #    drop the client sockets.
-        for thread in list(self._client_threads):
-            thread.join(timeout=5.0)
+        # 3. End every client's read side: idle handlers blocked in
+        #    read_frame see EOF, while handlers answering a failed
+        #    request still flush their error frames. Then drop the
+        #    client sockets.
         with self._conns_lock:
             conns = list(self._client_conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        for thread in list(self._client_threads):
+            thread.join(timeout=5.0)
         for conn in conns:
             try:
                 conn.close()
@@ -696,10 +708,13 @@ class RouterClient:
                 if k not in ("type", "id")}
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Close the connection. The reader holds a reference to the
+        socket, so both must be closed for the TCP connection to end."""
+        for closeable in (self._reader, self._sock):
+            try:
+                closeable.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "RouterClient":
         return self

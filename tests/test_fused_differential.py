@@ -1,17 +1,19 @@
-"""Differential numerics harness: fused kernels vs the reference path.
+"""Differential numerics harness: fused kernels vs the reference oracle.
 
 The fused recurrent kernels (repro.nn.fused; lstm/gru/rnn layers) are
 only allowed to exist because of this suite. The contract they are held
-to, across every cell, a grid of shapes (including B=1, T=1, F != H,
+to against the per-step reference arithmetic of tests/recurrent_oracle.py,
+across every cell, a grid of shapes (including B=1, T=1, F != H,
 odd/non-SIMD sizes) and both detmath modes:
 
-* **forward is bitwise identical** to the reference implementation —
+* **forward is bitwise identical** to the reference oracle —
   compared on raw bit patterns, not with a tolerance;
 * **backward gradients agree to <= 1e-12** max-abs-diff (the
   cache-blocked accumulation reassociates the timestep reduction;
   everything else is the reference arithmetic in the reference order);
-* flipping kernels or batch-invariant mode between calls never corrupts
-  a layer's pooled scratch state, and repeated calls are self-identical;
+* alternating fused and oracle calls, or batch-invariant mode, never
+  corrupts a layer's pooled scratch state, and repeated calls are
+  self-identical;
 * layer outputs are always fresh arrays — never views into pooled
   scratch a later forward would overwrite (the B=1 aliasing regression).
 
@@ -31,11 +33,10 @@ import numpy as np
 import pytest
 
 from repro.nn.detmath import batch_invariant
-from repro.nn.fused import (fused_enabled, fused_kernels, reference_kernels,
-                            set_fused_default)
 from repro.nn.layers import (AddLayer, DenseLayer, GRULayer, LSTMLayer,
                              SimpleRNNLayer)
 from repro.nn.model import Network
+from tests.recurrent_oracle import kernels, reference_kernels
 
 CELLS = [LSTMLayer, GRULayer, SimpleRNNLayer]
 CELL_IDS = ["lstm", "gru", "rnn"]
@@ -74,7 +75,7 @@ def _build(cls, shape, seed_salt=0):
 
 def _run(layer, x, grad_out, *, fused, invariant):
     """One forward+backward pass; returns (y, dx, {param: grad})."""
-    with _mode(invariant), fused_kernels(fused):
+    with _mode(invariant), kernels(fused):
         y = layer.forward([x])
         layer.zero_grads()
         (dx,) = layer.backward(grad_out)
@@ -92,9 +93,8 @@ class TestForwardBitwise:
             with reference_kernels():
                 y_ref = layer.forward([x])
                 layer._cache = None
-            with fused_kernels():
-                y_fused = layer.forward([x])
-                layer._cache = None
+            y_fused = layer.forward([x])
+            layer._cache = None
         # Bit patterns, not tolerances: signed zeros, NaN payloads and
         # the last ulp all count.
         np.testing.assert_array_equal(y_ref.view(np.uint8),
@@ -159,7 +159,7 @@ class TestScratchRobustness:
                 np.testing.assert_array_equal(got, want)
 
     def test_mode_flip_between_calls_is_safe(self):
-        """Alternating fused/reference and plain/invariant between
+        """Alternating fused/oracle and plain/invariant between
         calls reuses the same layer (and pool) without contamination.
         (Plain and invariant legitimately differ for B > 1 — the
         comparison is always within the same detmath mode.)"""
@@ -180,21 +180,6 @@ class TestScratchRobustness:
         for name in g0:
             assert np.abs(g[name] - g0[name]).max() <= 1e-12
 
-    def test_backward_matches_its_own_forward_mode(self):
-        """The cache records which path filled it; flipping the flag
-        between forward and backward must not mix implementations."""
-        layer, x, grad_out = _build(GRULayer, (2, 3, 4, 5))
-        _, dx_ref, g_ref = _run(layer, x, grad_out,
-                                fused=False, invariant=False)
-        with reference_kernels():
-            layer.forward([x])
-        layer.zero_grads()
-        with fused_kernels():  # flag flipped after forward
-            (dx,) = layer.backward(grad_out)
-        np.testing.assert_array_equal(dx, dx_ref)
-        for name in g_ref:
-            np.testing.assert_array_equal(layer.grads[name], g_ref[name])
-
     def test_shape_change_rebuilds_buffers(self):
         layer = LSTMLayer(6)
         layer.build([4], rng=0)
@@ -209,26 +194,13 @@ class TestScratchRobustness:
             np.testing.assert_array_equal(want, got)
 
 
-class TestDefaultSwitch:
-    def test_process_default_and_context_interact(self):
-        assert fused_enabled()  # repo default is fused
-        try:
-            set_fused_default(False)
-            assert not fused_enabled()
-            with fused_kernels():
-                assert fused_enabled()
-            assert not fused_enabled()
-        finally:
-            set_fused_default(True)
-        assert fused_enabled()
-
-
 class TestNetworkLevel:
-    """A hybrid skip-connected DAG run end to end under every mode
-    combination — fused/reference x serial/parallel — stays bitwise."""
+    """A hybrid skip-connected DAG run end to end on the fused kernels
+    and on the oracle stays bitwise (forward) and within budget
+    (training step)."""
 
-    def _hybrid(self, parallel=False):
-        net = Network(input_dim=5, rng=3, parallel=parallel)
+    def _hybrid(self):
+        net = Network(input_dim=5, rng=3)
         net.add_node("l1", LSTMLayer(6), ["input"])
         net.add_node("g1", GRULayer(6), ["l1"])
         net.add_node("proj", DenseLayer(6), ["l1"])
@@ -243,13 +215,9 @@ class TestNetworkLevel:
         net = self._hybrid()
         with reference_kernels():
             want = net.forward(x)
-        with fused_kernels():
-            np.testing.assert_array_equal(net.forward(x), want)
-        par = self._hybrid(parallel=True)
-        par.set_weights(net.get_weights())
-        np.testing.assert_array_equal(par.forward(x), want)
+        np.testing.assert_array_equal(net.forward(x), want)
         with reference_kernels():
-            np.testing.assert_array_equal(par.forward(x), want)
+            np.testing.assert_array_equal(net.forward(x), want)
 
     def test_network_training_step_equivalent(self):
         x = np.random.default_rng(6).standard_normal((4, 6, 5))
@@ -260,10 +228,9 @@ class TestNetworkLevel:
             ref_net.forward(x, training=True)
             ref_net.zero_grads()
             dx_ref = ref_net.backward(grad)
-        with fused_kernels():
-            fused_net.forward(x, training=True)
-            fused_net.zero_grads()
-            dx_fused = fused_net.backward(grad)
+        fused_net.forward(x, training=True)
+        fused_net.zero_grads()
+        dx_fused = fused_net.backward(grad)
         assert np.abs(dx_ref - dx_fused).max() <= 1e-12
         ref_grads = [g for _, g in ref_net.parameters_and_gradients()]
         fused_grads = [g for _, g in fused_net.parameters_and_gradients()]

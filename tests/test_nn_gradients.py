@@ -9,9 +9,9 @@ import pytest
 
 from repro.nas.space.ops import default_operations, hybrid_operations
 from repro.nn import AddLayer, DenseLayer, LSTMLayer, Network
-from repro.nn.fused import fused_kernels
 from repro.nn.layers import GRULayer, IdentityLayer, SimpleRNNLayer
 from repro.nn.losses import MeanSquaredError
+from tests.recurrent_oracle import kernels
 
 LOSS = MeanSquaredError()
 
@@ -249,8 +249,8 @@ class TestSearchSpaceOpGradients:
         probe_gradient_check(layer, [rng.standard_normal((2, 4, 5))], rng)
 
 class TestRecurrentGradientsBothKernels:
-    """Finite differences against the fused AND the reference kernels
-    for every cell, at rectangular (in_dim != units) sizes in both
+    """Finite differences against the fused kernels AND the reference
+    oracle (tests/recurrent_oracle.py) for every cell, at rectangular (in_dim != units) sizes in both
     directions — the fused BPTT's stacked accumulation GEMMs are shape-
     sensitive, so a square-only check would miss transposition bugs."""
 
@@ -271,7 +271,7 @@ class TestRecurrentGradientsBothKernels:
     def test_rectangular_cell(self, cls, in_dim, units, fused, rng):
         layer = cls(units)
         layer.build([in_dim], rng=0)
-        with fused_kernels(fused):
+        with kernels(fused):
             check_layer_gradients(
                 layer, [rng.standard_normal((2, 4, in_dim))], rng,
                 atol=2e-6)
@@ -282,7 +282,7 @@ class TestRecurrentGradientsBothKernels:
         """B=1/T=1 corners exercise the pooled-scratch edge cases."""
         layer = LSTMLayer(4)
         layer.build([3], rng=1)
-        with fused_kernels(fused):
+        with kernels(fused):
             check_layer_gradients(
                 layer, [rng.standard_normal((1, 1, 3))], rng, atol=2e-6)
 

@@ -32,10 +32,19 @@ def _single_subnormal_example():
     return m
 
 
-@settings(max_examples=40, deadline=None)
+def _subnormal_energy_example():
+    """``lambda_max`` itself is subnormal (~9.6e-319): relative floors
+    taken on the raw spectrum underflow to 0 and keep noise as a mode."""
+    m = np.zeros((6, 5))
+    m[0, 0] = 1.0961934825389103e-159
+    return m
+
+
+@settings(max_examples=40, deadline=None, print_blob=True)
 @given(snapshots=matrices)
 @example(snapshots=_near_rank_deficient_example())
 @example(snapshots=_single_subnormal_example())
+@example(snapshots=_subnormal_energy_example())
 def test_modes_orthonormal(snapshots):
     basis = fit_pod(snapshots)
     gram = basis.modes.T @ basis.modes

@@ -155,7 +155,7 @@ class TestLegacyNetworkFixtures:
     def test_legacy_network_reference_path_also_bitwise(self):
         from pathlib import Path
 
-        from repro.nn.fused import reference_kernels
+        from tests.recurrent_oracle import reference_kernels
         data = Path(__file__).parent / "data"
         net = load_network(data / "legacy_network.npz")
         x = np.load(data / "legacy_network_input.npy")
@@ -163,16 +163,6 @@ class TestLegacyNetworkFixtures:
         with reference_kernels():
             got = net.forward(x)
         np.testing.assert_array_equal(got.view(np.uint8),
-                                      want.view(np.uint8))
-
-    def test_legacy_network_parallel_dag_bitwise(self):
-        from pathlib import Path
-        data = Path(__file__).parent / "data"
-        net = load_network(data / "legacy_network.npz")
-        net.parallel = True
-        x = np.load(data / "legacy_network_input.npy")
-        want = np.load(data / "legacy_network_forward.npy")
-        np.testing.assert_array_equal(net.forward(x).view(np.uint8),
                                       want.view(np.uint8))
 
     def test_legacy_network_save_load_roundtrip_stable(self, tmp_path):
