@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import load_sst_dataset
-from repro.forecast import load_emulator, posttrain_architecture, save_emulator
+from repro.forecast import posttrain_architecture
 from repro.nas import AgingEvolution, ArchitecturePerformanceModel, SurrogateEvaluator
 from repro.nas.space import StackedLSTMSpace, describe_architecture, hybrid_operations
+from repro.serve import load_bundle, save_bundle
 
 
 def main() -> None:
@@ -58,8 +59,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hybrid-emulator.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
+        loaded = load_bundle(save_bundle(emulator, path))
         test = dataset.snapshots(np.asarray(dataset.test_indices)[:120])
         print(f"  reloaded-from-disk test R^2: {loaded.score(test):.4f}")
     print("Done.")

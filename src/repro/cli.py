@@ -405,9 +405,14 @@ def search_main(argv: list[str]) -> int:
 
     if args.resume is not None:
         print(f"resuming campaign from {args.resume}")
-        algorithm, tracker = resume_search(
-            resume_state, space, evaluator, workers=args.workers,
-            walltime=args.walltime, checkpoint=checkpoint)
+        try:
+            algorithm, tracker = resume_search(
+                resume_state, space, evaluator, workers=args.workers,
+                walltime=args.walltime, checkpoint=checkpoint)
+        except ValueError as exc:
+            print(f"error: cannot resume from {args.resume}: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         if args.algorithm == "ae":
             algorithm = AgingEvolution(space, rng=args.seed)

@@ -63,9 +63,9 @@ from repro.hpc.tracking import EvaluationRecord, SearchTracker
 from repro.nas.algorithms.base import SearchAlgorithm
 from repro.nas.algorithms.rl_nas import DistributedRL
 from repro.nas.checkpoint import CAMPAIGN_FORMAT, CHECKPOINT_VERSION, \
-    CheckpointPolicy, atomic_write_json, load_checkpoint, restore_search, \
-    search_state
+    CheckpointPolicy, load_checkpoint, restore_search, search_state
 from repro.nas.evaluation import Evaluator, evaluator_identity
+from repro.utils.artifact import atomic_write_json, check_artifact_header
 from repro.utils.rng import as_generator, as_seed_sequence, \
     generator_from_state, generator_state, sequence_from_state, \
     sequence_state, spawn
@@ -104,18 +104,20 @@ def _evaluator_identity(evaluator: Evaluator) -> dict | None:
     return evaluator_identity(evaluator)
 
 
+def _check_campaign(state, source) -> dict:
+    return check_artifact_header(
+        state, source, expected_format=CAMPAIGN_FORMAT,
+        supported_versions=(CHECKPOINT_VERSION,),
+        describe="a campaign checkpoint")
+
+
 def _check_resume_state(resume_state: dict | None, mode: str,
                         partition: ThetaPartition,
                         uses_backend: bool,
                         evaluator: Evaluator) -> dict | None:
     if resume_state is None:
         return None
-    if resume_state.get("format") != CAMPAIGN_FORMAT:
-        raise ValueError("resume_state is not a campaign checkpoint")
-    if int(resume_state.get("version", 0)) > CHECKPOINT_VERSION:
-        raise ValueError(
-            f"campaign checkpoint version {resume_state.get('version')} "
-            f"is newer than supported ({CHECKPOINT_VERSION})")
+    _check_campaign(resume_state, "resume state")
     if resume_state.get("mode") != mode:
         raise ValueError(
             f"checkpoint was written by a {resume_state.get('mode')!r} "
@@ -629,11 +631,10 @@ def resume_search(source, space, evaluator: Evaluator, *,
     serial backend on resume (bitwise identical to any pool size); one
     written with in-loop evaluation must be resumed without ``workers``.
     """
-    state = source if isinstance(source, dict) else load_checkpoint(source)
-    if state.get("format") != CAMPAIGN_FORMAT:
-        raise ValueError(
-            f"{source!r} is not a campaign checkpoint (use load_search "
-            f"for algorithm-only checkpoints)")
+    if isinstance(source, dict):
+        state = _check_campaign(source, "resume state")
+    else:
+        state = _check_campaign(load_checkpoint(source), source)
     algorithm = restore_search(state["algorithm"], space)
     partition = ThetaPartition(
         n_nodes=int(state["partition"]["n_nodes"]),

@@ -12,7 +12,7 @@ that cost with a precomputed benchmark:
   and writes a versioned, pickle-free ``.npz`` artifact of
   ``(architecture encoding -> reward, cost, training curve)`` records —
   sharing the header/atomic-write machinery of
-  :mod:`repro.serve.artifact`;
+  :mod:`repro.utils.artifact`;
 * :class:`BenchmarkEvaluator` answers asks from the table, falling back
   to a surrogate fitted on the archive (ridge or k-NN over the one-hot
   architecture feature vector) for off-table points — so any searcher
@@ -56,8 +56,8 @@ from repro.nas.evaluation import EvaluationResult, Evaluator
 from repro.nas.space.ops import Operation
 from repro.nas.space.search_space import Architecture, StackedLSTMSpace
 from repro.nas.surrogate import ArchitecturePerformanceModel
-from repro.serve.artifact import load_npz_artifact, read_npz_artifact_header, \
-    write_npz_artifact
+from repro.utils.artifact import check_artifact_header, load_npz_artifact, \
+    read_npz_artifact_header, write_npz_artifact
 from repro.utils.rng import as_generator, as_seed_sequence, child_sequence
 
 __all__ = ["ARCHIVE_FORMAT", "ARCHIVE_VERSION", "SWEEP_FORMAT",
@@ -77,13 +77,17 @@ class CurveUnavailableError(ValueError):
 ARCHIVE_FORMAT = "repro-nas-benchmark"
 
 #: Current archive schema version; loaders accept exactly what they can
-#: decode (see repro.serve.artifact).
+#: decode (see repro.utils.artifact).
 ARCHIVE_VERSION = 1
 
 #: Reserved array name carrying the JSON header inside the ``.npz``.
 _HEADER_KEY = "__benchmark__"
 
-_DESCRIBE = "a NAS benchmark archive"
+#: The header check shared by :func:`read_archive_header` and
+#: :func:`load_archive`.
+_CHECK = {"key": _HEADER_KEY, "expected_format": ARCHIVE_FORMAT,
+          "supported_versions": (ARCHIVE_VERSION,),
+          "describe": "a NAS benchmark archive"}
 
 #: Hard cap on exhaustive sweeps — asking for the paper's full 8.6M-point
 #: space by accident should fail fast, not thrash for hours.
@@ -315,19 +319,13 @@ def build_archive(space: StackedLSTMSpace, model, path, *,
 
 def read_archive_header(path) -> dict:
     """The validated JSON header of an archive, without loading records."""
-    from repro.nn.serialization import _npz_path
-    with np.load(_npz_path(path)) as archive:
-        return read_npz_artifact_header(
-            archive, path, key=_HEADER_KEY, expected_format=ARCHIVE_FORMAT,
-            supported_versions=(ARCHIVE_VERSION,), describe=_DESCRIBE)
+    return read_npz_artifact_header(path, **_CHECK)
 
 
 def load_archive(path) -> ArchitectureArchive:
     """Load an archive written by :func:`build_archive`, verifying the
     header (format/version) and the content digest (corruption check)."""
-    header, arrays = load_npz_artifact(
-        path, key=_HEADER_KEY, expected_format=ARCHIVE_FORMAT,
-        supported_versions=(ARCHIVE_VERSION,), describe=_DESCRIBE)
+    header, arrays = load_npz_artifact(path, **_CHECK)
     missing = {"arch", "reward", "cost", "curve"} - set(arrays)
     if missing:
         raise ValueError(f"{path}: archive lacks arrays {sorted(missing)}")
@@ -671,14 +669,9 @@ def run_seed_sweep(evaluator: Evaluator, *, algorithm: str = "rs",
 def validate_sweep_report(report) -> None:
     """Schema-check a sweep report; raises ValueError on the first
     violation (the CI ``benchmark-smoke`` job gates on this)."""
-    if not isinstance(report, dict):
-        raise ValueError("sweep report must be a dict")
-    if report.get("format") != SWEEP_FORMAT:
-        raise ValueError(f"not a sweep report "
-                         f"(format {report.get('format')!r})")
-    if report.get("version") != SWEEP_VERSION:
-        raise ValueError(f"unsupported sweep report version "
-                         f"{report.get('version')!r}")
+    check_artifact_header(report, None, expected_format=SWEEP_FORMAT,
+                          supported_versions=(SWEEP_VERSION,),
+                          describe="a sweep report")
     for key in ("algorithm", "n_evaluations", "n_seeds", "base_seed",
                 "campaigns", "best_reward", "total_wall_seconds"):
         if key not in report:

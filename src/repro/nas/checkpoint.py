@@ -21,10 +21,12 @@ RNG capture existed) are still loadable and fall back to
 the uninterrupted trajectory.
 
 Atomicity: :func:`save_search` (and every campaign checkpoint the
-executors write) goes through :func:`atomic_write_json` — serialize to a
-``.tmp`` sibling, ``fsync``, then ``os.replace`` over the target. A kill
-at any instant leaves either the previous checkpoint or the new one,
-never a torn file.
+executors write) goes through :func:`repro.utils.artifact.atomic_write_json`
+— serialize to a ``.tmp`` sibling, ``fsync``, then ``os.replace`` over
+the target. A kill at any instant leaves either the previous checkpoint
+or the new one, never a torn file. Every reader checks the
+``format``/``version`` header through
+:func:`repro.utils.artifact.check_artifact_header`.
 
 All four algorithms are covered: :class:`AgingEvolution`,
 :class:`RandomSearch`, and :class:`DistributedRL` (whose state includes
@@ -35,7 +37,6 @@ baseline, and the synchronized round counter).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,9 +48,11 @@ from repro.nas.algorithms.ppo import PPOConfig
 from repro.nas.algorithms.random_search import RandomSearch
 from repro.nas.algorithms.rl_nas import DistributedRL
 from repro.nas.space.search_space import StackedLSTMSpace
+from repro.utils.artifact import atomic_write_json, check_artifact_header
 
 __all__ = ["SEARCH_FORMAT", "CAMPAIGN_FORMAT", "CHECKPOINT_VERSION",
-           "CheckpointPolicy", "atomic_write_json", "search_state",
+           "MULTIFIDELITY_FORMAT", "MULTIFIDELITY_VERSION",
+           "CheckpointPolicy", "search_state",
            "save_search", "restore_search", "load_search",
            "load_checkpoint"]
 
@@ -64,6 +67,11 @@ CAMPAIGN_FORMAT = "repro-campaign-checkpoint"
 #: ``format``/``version`` keys); v2 adds exact RNG state, DistributedRL
 #: coverage, and JSON-spec-valid ``best_reward`` encoding.
 CHECKPOINT_VERSION = 2
+
+#: Format tag / version of a multi-fidelity campaign checkpoint, written
+#: by :mod:`repro.nas.multifidelity`.
+MULTIFIDELITY_FORMAT = "repro-multifidelity-checkpoint"
+MULTIFIDELITY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -88,24 +96,6 @@ class CheckpointPolicy:
         if self.every_seconds is not None and self.every_seconds <= 0:
             raise ValueError(
                 f"every_seconds must be positive, got {self.every_seconds}")
-
-
-def atomic_write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON such that a crash never corrupts ``path``.
-
-    The bytes land in a ``.tmp`` sibling first and are fsynced before an
-    atomic ``os.replace`` publishes them — the last good checkpoint is
-    loadable at every instant. ``allow_nan=False`` rejects any NaN or
-    infinity before a single byte is written.
-    """
-    target = Path(path)
-    text = json.dumps(payload, indent=1, allow_nan=False, sort_keys=True)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
 
 
 def search_state(search) -> dict:
@@ -159,14 +149,11 @@ def restore_search(state: dict, space: StackedLSTMSpace, *,
     so the generator is reseeded from ``seed_on_resume`` (the old,
     non-reproducible behaviour, kept so existing files remain loadable).
     """
-    version = int(state.get("version", 1))
-    if version > CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {version} is newer than supported "
-            f"({CHECKPOINT_VERSION})")
-    declared = state.get("format")
-    if declared not in (None, SEARCH_FORMAT):
-        raise ValueError(f"not a search checkpoint (format={declared!r})")
+    check_artifact_header(state, None,
+                          expected_format=(SEARCH_FORMAT, None),
+                          supported_versions=(1, CHECKPOINT_VERSION),
+                          legacy_version=1, describe="a search checkpoint")
+    version = state.get("version", 1)
     search = _build_algorithm(state, space)
     if version >= 2:
         search.load_state_dict(state)
@@ -187,8 +174,16 @@ def restore_search(state: dict, space: StackedLSTMSpace, *,
 
 
 def load_checkpoint(path) -> dict:
-    """Read any checkpoint file (search or campaign) as a raw dict."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read any checkpoint file — search, campaign or multi-fidelity
+    campaign — as a raw dict. Anything else (a JSON list, another
+    artifact's JSON) raises ``ValueError`` naming ``path``; the resume
+    paths check the exact version of their own format."""
+    state = json.loads(Path(path).read_text(encoding="utf-8"))
+    return check_artifact_header(
+        state, path, expected_format=(SEARCH_FORMAT, CAMPAIGN_FORMAT,
+                                      MULTIFIDELITY_FORMAT, None),
+        supported_versions=(1, CHECKPOINT_VERSION), legacy_version=1,
+        describe="a checkpoint")
 
 
 def load_search(path, space: StackedLSTMSpace, *, seed_on_resume=None):

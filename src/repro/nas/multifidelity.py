@@ -32,7 +32,7 @@ position-keyed and order-stable). Every evaluation is therefore a pure
 function of ``(architecture, stream, rung epochs)``: results are bitwise
 identical across serial and pooled backends at any worker count, and a
 campaign killed mid-rung resumes — from the JSON checkpoint this module
-writes through :func:`repro.nas.checkpoint.atomic_write_json` — to the
+writes through :func:`repro.utils.artifact.atomic_write_json` — to the
 exact trajectory of an uninterrupted run (tests/test_multifidelity.py).
 
 Reusing one lifetime stream per candidate mirrors partial-training
@@ -54,18 +54,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nas.checkpoint import atomic_write_json, load_checkpoint
+from repro.nas.checkpoint import MULTIFIDELITY_FORMAT, \
+    MULTIFIDELITY_VERSION, load_checkpoint
 from repro.nas.evaluation import Evaluator, evaluator_identity
+from repro.utils.artifact import atomic_write_json, check_artifact_header
 from repro.utils.rng import as_seed_sequence, child_sequence
 
 __all__ = ["MULTIFIDELITY_FORMAT", "MULTIFIDELITY_VERSION", "Rung",
            "Bracket", "SuccessiveHalving", "Hyperband",
            "scheduler_from_config", "run_multifidelity_campaign",
            "resume_multifidelity_campaign"]
-
-#: Format tag / version of a multi-fidelity campaign checkpoint.
-MULTIFIDELITY_FORMAT = "repro-multifidelity-checkpoint"
-MULTIFIDELITY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -220,15 +218,16 @@ def _key(bracket: int, rung: int, slot: int) -> str:
     return f"{bracket}:{rung}:{slot}"
 
 
+def _check_format(state, source) -> dict:
+    return check_artifact_header(
+        state, source, expected_format=MULTIFIDELITY_FORMAT,
+        supported_versions=(MULTIFIDELITY_VERSION,),
+        describe="a multi-fidelity campaign checkpoint")
+
+
 def _check_resume(state: dict, scheduler, evaluator: Evaluator,
                   seed: int) -> None:
-    if state.get("format") != MULTIFIDELITY_FORMAT:
-        raise ValueError("resume state is not a multi-fidelity campaign "
-                         "checkpoint")
-    if int(state.get("version", 0)) > MULTIFIDELITY_VERSION:
-        raise ValueError(
-            f"checkpoint version {state.get('version')} is newer than "
-            f"supported ({MULTIFIDELITY_VERSION})")
+    _check_format(state, "resume state")
     saved = state["scheduler"]
     if saved != scheduler.config():
         raise ValueError(
@@ -499,10 +498,10 @@ def resume_multifidelity_campaign(source, evaluator: Evaluator, *,
     ``--eta``/``--min-epochs`` refuse with a "different experiment"
     diagnosis, exactly like the executor campaign checkpoints).
     """
-    state = source if isinstance(source, dict) else load_checkpoint(source)
-    if state.get("format") != MULTIFIDELITY_FORMAT:
-        raise ValueError(f"{source}: not a multi-fidelity campaign "
-                         f"checkpoint")
+    if isinstance(source, dict):
+        state = _check_format(source, "resume state")
+    else:
+        state = _check_format(load_checkpoint(source), source)
     if scheduler is None:
         scheduler = scheduler_from_config(state["scheduler"])
     return run_multifidelity_campaign(

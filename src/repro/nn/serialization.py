@@ -7,9 +7,6 @@ registry of (class name -> constructor kwargs) pairs.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from repro.nn.layers import (
@@ -22,25 +19,18 @@ from repro.nn.layers import (
     SimpleRNNLayer,
 )
 from repro.nn.model import Network
+from repro.utils.artifact import load_npz_artifact, write_npz_artifact
 
 __all__ = ["save_network", "load_network", "layer_config",
            "network_spec", "network_from_spec"]
 
 
-def _npz_path(path) -> Path:
-    """The path the archive actually lives at.
+#: Format tag of a network archive. Its header has no ``version`` key;
+#: the one layout it has ever had reads as version 1.
+_FORMAT = "repro-network-v1"
 
-    ``np.savez`` silently appends ``.npz`` when the name lacks it, so a
-    round-trip through the *same* user-supplied path used to fail:
-    ``save_network(net, "model")`` wrote ``model.npz`` while
-    ``load_network("model")`` looked for ``model``. Both sides now
-    normalize to the suffixed name, so whatever path ``save_network``
-    accepted, ``load_network`` accepts too.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
+#: Reserved array name carrying the JSON header inside the ``.npz``.
+_HEADER_KEY = "__spec__"
 
 _LAYER_CLASSES = {cls.__name__: cls for cls in
                   (DenseLayer, LSTMLayer, GRULayer, SimpleRNNLayer,
@@ -103,7 +93,8 @@ def network_from_spec(spec: dict, weights: list[np.ndarray], *,
 
 
 def save_network(network: Network, path) -> None:
-    """Write the network's structure and weights to ``path`` (.npz).
+    """Atomically write the network's structure and weights to ``path``
+    (.npz, suffix normalized).
 
     The header carries ``layout: gate-stacked-v1`` — the recurrent
     weight convention (``wx``/``wh`` with gate blocks stacked along the
@@ -113,23 +104,21 @@ def save_network(network: Network, path) -> None:
     tolerates its absence because the convention never changed — the
     fused kernels were built to read the reference layout in place.
     """
-    header = {"format": "repro-network-v1",
+    header = {"format": _FORMAT,
               "layout": "gate-stacked-v1", **network_spec(network)}
     arrays = {f"w{i}": w for i, w in enumerate(network.get_weights())}
-    np.savez(_npz_path(path), __spec__=np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
+    write_npz_artifact(path, header, arrays, key=_HEADER_KEY)
 
 
 def load_network(path) -> Network:
     """Rebuild a network saved by :func:`save_network`."""
-    with np.load(_npz_path(path)) as archive:
-        header = json.loads(bytes(archive["__spec__"].tobytes()).decode("utf-8"))
-        if header.get("format") != "repro-network-v1":
-            raise ValueError(f"{path}: not a repro network archive")
-        layout = header.get("layout", "gate-stacked-v1")
-        if layout != "gate-stacked-v1":
-            raise ValueError(f"{path}: unsupported weight layout "
-                             f"{layout!r} (expected gate-stacked-v1)")
-        weights = [archive[f"w{i}"]
-                   for i in range(len(archive.files) - 1)]
+    header, arrays = load_npz_artifact(
+        path, key=_HEADER_KEY, expected_format=_FORMAT,
+        supported_versions=(1,), legacy_version=1,
+        describe="a repro network archive")
+    layout = header.get("layout", "gate-stacked-v1")
+    if layout != "gate-stacked-v1":
+        raise ValueError(f"{path}: unsupported weight layout "
+                         f"{layout!r} (expected gate-stacked-v1)")
+    weights = [arrays[f"w{i}"] for i in range(len(arrays))]
     return network_from_spec(header, weights, source=str(path))

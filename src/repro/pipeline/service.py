@@ -51,6 +51,7 @@ from repro.pipeline.state import (
 )
 from repro.pod.incremental import IncrementalPOD
 from repro.serve.registry import ModelRegistry
+from repro.utils.artifact import check_artifact_header
 
 __all__ = ["PipelineConfig", "ContinuousPipeline", "field_rmse",
            "emulator_digest", "validate_pipeline_status"]
@@ -167,12 +168,9 @@ def validate_pipeline_status(data: dict) -> dict:
     otherwise. The CI pipeline-smoke job runs every ``pipeline status
     --json`` through this.
     """
-    if data.get("format") != STATUS_FORMAT:
-        raise ValueError(f"not a pipeline status document "
-                         f"(format {data.get('format')!r})")
-    if data.get("version") != STATUS_VERSION:
-        raise ValueError(
-            f"unsupported status version {data.get('version')!r}")
+    check_artifact_header(data, None, expected_format=STATUS_FORMAT,
+                          supported_versions=(STATUS_VERSION,),
+                          describe="a pipeline status document")
     for key in ("feed", "config", "stream", "counters", "basis",
                 "active", "decisions"):
         if key not in data:

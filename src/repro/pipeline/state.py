@@ -2,7 +2,7 @@
 
 The continuous-learning service persists its **complete** progress after
 every ingested batch through the shared artifact layer
-(:mod:`repro.serve.artifact`): the stream cursor, the counters, every
+(:mod:`repro.utils.artifact`): the stream cursor, the counters, every
 typed promotion decision made so far, and the exact
 :class:`~repro.pod.IncrementalPOD` factorization (float64, bitwise).
 Because the snapshot feed is replayable and the POD state round-trips
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.pod.incremental import IncrementalPOD
-from repro.serve.artifact import load_npz_artifact, write_npz_artifact
+from repro.utils.artifact import load_npz_artifact, write_npz_artifact
 
 __all__ = ["STATE_FORMAT", "STATE_VERSION", "PromotionDecision",
            "PipelineState", "save_state", "load_state"]
@@ -87,7 +87,7 @@ class PipelineState:
 
 def save_state(path, state: PipelineState):
     """Atomically persist ``state`` (tmp + fsync + rename, via
-    :func:`repro.serve.artifact.write_npz_artifact`). Returns the path
+    :func:`repro.utils.artifact.write_npz_artifact`). Returns the path
     the artifact lives at."""
     pod_config, pod_arrays = state.pod.state()
     header = {

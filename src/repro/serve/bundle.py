@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.forecast.pipeline import PODCoefficientPipeline
 from repro.forecast.pod_lstm import PODLSTMEmulator
-from repro.nn.serialization import _npz_path, network_from_spec, network_spec
-from repro.serve.artifact import read_npz_artifact_header, write_npz_artifact
+from repro.nn.serialization import network_from_spec, network_spec
+from repro.utils.artifact import load_npz_artifact, \
+    read_npz_artifact_header, write_npz_artifact
 
 __all__ = ["BUNDLE_FORMAT", "BUNDLE_VERSION", "save_bundle", "load_bundle",
            "read_bundle_header"]
@@ -55,8 +54,9 @@ def save_bundle(emulator: PODLSTMEmulator, path, *,
 
     ``metadata`` (JSON-compatible) is stored verbatim in the header —
     provenance such as the search algorithm, seed, or training R^2.
-    Returns the path the archive actually lives at (``.npz`` suffix
-    normalized exactly like :func:`repro.nn.serialization.save_network`).
+    The write is atomic and the ``.npz`` suffix is normalized
+    (:mod:`repro.utils.artifact`); returns the path the archive actually
+    lives at.
     """
     network = emulator._require_fit()
     pipeline_config, pipeline_arrays = emulator.pipeline.fitted_state()
@@ -70,29 +70,26 @@ def save_bundle(emulator: PODLSTMEmulator, path, *,
     return write_npz_artifact(path, header, arrays, key=_HEADER_KEY)
 
 
-def _decode_header(archive, path) -> dict:
-    return read_npz_artifact_header(
-        archive, path, key=_HEADER_KEY, expected_format=BUNDLE_FORMAT,
-        supported_versions=(BUNDLE_VERSION,),
-        describe="an emulator bundle")
+#: The header check shared by :func:`read_bundle_header` and
+#: :func:`load_bundle`.
+_CHECK = {"key": _HEADER_KEY, "expected_format": BUNDLE_FORMAT,
+          "supported_versions": (BUNDLE_VERSION,),
+          "describe": "an emulator bundle"}
 
 
 def read_bundle_header(path) -> dict:
     """The validated JSON header of a bundle, without rebuilding the
     emulator (registry listings, provenance inspection)."""
-    with np.load(_npz_path(path)) as archive:
-        return _decode_header(archive, path)
+    return read_npz_artifact_header(path, **_CHECK)
 
 
 def load_bundle(path) -> PODLSTMEmulator:
     """Rebuild the emulator stored by :func:`save_bundle`."""
-    with np.load(_npz_path(path)) as archive:
-        header = _decode_header(archive, path)
-        n_weights = sum(1 for name in archive.files
-                        if name.startswith("net_w"))
-        weights = [archive[f"net_w{i}"] for i in range(n_weights)]
-        pipeline = PODCoefficientPipeline.from_fitted_state(
-            header["pipeline"], archive)
+    header, arrays = load_npz_artifact(path, **_CHECK)
+    n_weights = sum(1 for name in arrays if name.startswith("net_w"))
+    weights = [arrays[f"net_w{i}"] for i in range(n_weights)]
+    pipeline = PODCoefficientPipeline.from_fitted_state(header["pipeline"],
+                                                        arrays)
     network = network_from_spec(header["network"], weights,
                                 source=str(path))
     return PODLSTMEmulator.from_artifacts(

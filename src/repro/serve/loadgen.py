@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.serve.engine import ForecastEngine
+from repro.utils.artifact import check_artifact_header
 
 __all__ = ["SLOReport", "run_loadgen", "run_router_loadgen",
            "nearest_rank_percentile", "validate_slo_report",
@@ -105,13 +106,9 @@ class SLOReport:
 def validate_slo_report(data) -> None:
     """Schema-check an exported SLO report; raises ValueError on the
     first violation (used by the CI serve-smoke job)."""
-    if not isinstance(data, dict):
-        raise ValueError("SLO report must be a dict")
-    if data.get("format") != SLO_REPORT_FORMAT:
-        raise ValueError(f"not an SLO report (format {data.get('format')!r})")
-    if data.get("version") != SLO_REPORT_VERSION:
-        raise ValueError(f"unsupported SLO report version "
-                         f"{data.get('version')!r}")
+    check_artifact_header(data, None, expected_format=SLO_REPORT_FORMAT,
+                          supported_versions=(SLO_REPORT_VERSION,),
+                          describe="an SLO report")
     for key in ("clients", "n_requests", "n_errors", "duration_s",
                 "throughput_rps", "latency_ms", "engine"):
         if key not in data:

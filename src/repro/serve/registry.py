@@ -11,8 +11,9 @@ Directory layout (docs/SERVING.md)::
 Invariants both the serving tier (:mod:`repro.serve.router`) and the
 continuous-learning pipeline (:mod:`repro.pipeline`) rely on:
 
-* **Publication is atomic.** ``publish`` writes the bundle to a
-  temporary sibling first and ``os.replace``s it into place; a reader
+* **Publication is atomic.** ``publish`` writes the bundle through
+  :func:`repro.utils.artifact.atomic_write` (a ``.tmp`` sibling that
+  ``versions()`` never lists, fsynced, then renamed into place); a reader
   (or a worker process loading mid-publish) always observes either the
   previous complete bundle or the new one, never a torn ``.npz``.
   Re-publishing an existing name is idempotent replacement — the
@@ -20,10 +21,9 @@ continuous-learning pipeline (:mod:`repro.pipeline`) rely on:
   state save: the retrain is replayed and republishes the identical
   bundle under the identical name.
 * **Promotion is atomic and ordered after publication.** ``promote``
-  rewrites ``ACTIVE`` through the same tmp+fsync+rename discipline as
-  :mod:`repro.nas.checkpoint` and refuses names without a published
-  bundle, so ``ACTIVE`` can never dangle: a crash at any instant leaves
-  it pointing at a complete, loadable bundle.
+  rewrites ``ACTIVE`` through the same atomic writer and refuses names
+  without a published bundle, so ``ACTIVE`` can never dangle: a crash
+  at any instant leaves it pointing at a complete, loadable bundle.
 * **The audit trail is append-only and advisory.** Every publish and
   promote appends one JSON line to ``AUDIT.jsonl`` (action, version,
   previous active pointer, wall-clock time, optional note). It is a
@@ -44,6 +44,7 @@ from pathlib import Path
 
 from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.serve.bundle import load_bundle, read_bundle_header, save_bundle
+from repro.utils.artifact import atomic_write
 
 __all__ = ["ModelRegistry"]
 
@@ -99,15 +100,13 @@ class ModelRegistry:
                 activate: bool = False, note: str | None = None) -> Path:
         """Serialize ``emulator`` as version ``name``.
 
-        The bundle is written to a tmp sibling and atomically renamed in,
-        so readers never observe a partial artifact. Re-publishing an
-        existing name replaces it. ``activate=True`` also promotes the
-        version. ``note`` is recorded in the audit trail.
+        The bundle write is atomic, so readers never observe a partial
+        artifact. Re-publishing an existing name replaces it.
+        ``activate=True`` also promotes the version. ``note`` is recorded
+        in the audit trail.
         """
-        target = self.bundle_path(name)
-        tmp = target.with_name(target.name + ".tmp")
-        written = save_bundle(emulator, tmp, metadata=metadata)
-        os.replace(written, target)
+        target = save_bundle(emulator, self.bundle_path(name),
+                             metadata=metadata)
         self._audit("publish", name, note=note)
         if activate:
             self.promote(name, note=note)
@@ -123,12 +122,8 @@ class ModelRegistry:
             raise ValueError(f"cannot promote unknown version {name!r}; "
                              f"published versions: {self.versions()}")
         previous = self.active()
-        tmp = self._active_path.with_name(_ACTIVE_FILE + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(name + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._active_path)
+        atomic_write(self._active_path,
+                     lambda fh: fh.write(f"{name}\n".encode("utf-8")))
         self._audit("promote", name, previous=previous, note=note)
 
     # -- audit trail -----------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -87,3 +89,23 @@ class TestCampaignCLI:
             main(["search", "--walltime", "-1"])
         with pytest.raises(SystemExit):
             main(["search", "--checkpoint-every", "60"])  # no --checkpoint
+
+    @pytest.mark.parametrize("payload,reason", [
+        ([1, 2, 3], "not a checkpoint"),
+        ({"format": "repro-slo-report", "version": 1, "clients": 2},
+         "not a checkpoint"),
+        ({"format": "repro-search-checkpoint", "version": 2,
+          "algorithm": "RandomSearch"}, "not a campaign checkpoint"),
+    ], ids=["json-list", "slo-report", "search-only"])
+    def test_resume_rejects_non_campaign_file(self, capsys, tmp_path,
+                                              payload, reason):
+        """A file that is not a resumable campaign checkpoint is a usage
+        error naming the path, never a traceback."""
+        path = tmp_path / "not-a-campaign.json"
+        path.write_text(json.dumps(payload))
+        code = main(["search", "--resume", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert reason in err

@@ -43,7 +43,7 @@ from repro.nas import (
     validate_sweep_report,
 )
 from repro.nas.benchmark import ARCHIVE_FORMAT, ARCHIVE_VERSION
-from repro.serve.artifact import write_npz_artifact
+from repro.utils.artifact import write_npz_artifact
 
 
 @pytest.fixture(scope="module")

@@ -12,12 +12,12 @@ from repro.nas import (
 from repro.nas.checkpoint import (
     CHECKPOINT_VERSION,
     SEARCH_FORMAT,
-    atomic_write_json,
     load_search,
     restore_search,
     save_search,
     search_state,
 )
+from repro.utils.artifact import atomic_write_json
 
 
 @pytest.fixture()
@@ -167,7 +167,7 @@ class TestAtomicWrite:
         """A kill during save leaves the last good checkpoint intact."""
         import json
 
-        import repro.nas.checkpoint as ckpt
+        import repro.utils.artifact as ckpt
         path = tmp_path / "state.json"
         atomic_write_json(path, {"generation": 1})
 

@@ -7,6 +7,12 @@ import pytest
 from repro.serve import ModelRegistry
 
 
+def _tree(registry) -> list[str]:
+    """Every path under the registry root, relative and sorted."""
+    return sorted(p.relative_to(registry.root).as_posix()
+                  for p in registry.root.rglob("*"))
+
+
 @pytest.fixture()
 def registry(tmp_path):
     return ModelRegistry(tmp_path / "reg")
@@ -28,8 +34,28 @@ class TestPublish:
 
     def test_no_tmp_leftovers(self, registry, tiny_emulator):
         registry.publish("v1", tiny_emulator, activate=True)
-        leftovers = [p for p in registry.root.rglob("*.tmp")]
-        assert leftovers == []
+        registry.publish("v2", tiny_emulator)
+        registry.promote("v2")
+        assert _tree(registry) == ["ACTIVE", "AUDIT.jsonl", "versions",
+                                   "versions/v1.npz", "versions/v2.npz"]
+
+    def test_crash_mid_publish_leaves_no_phantom_version(
+            self, registry, tiny_emulator, monkeypatch):
+        """A kill between the bundle write and its rename changes nothing
+        a reader can see: no new version, no stray file."""
+        import os
+        registry.publish("v1", tiny_emulator, activate=True)
+        before = _tree(registry)
+
+        def dying_replace(src, dst):
+            raise OSError("killed before publish")
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError):
+            registry.publish("v2", tiny_emulator)
+        monkeypatch.undo()
+        assert registry.versions() == ["v1"]
+        assert _tree(registry) == before
 
     def test_republish_replaces(self, registry, tiny_emulator):
         registry.publish("v1", tiny_emulator, metadata={"rev": 1})
