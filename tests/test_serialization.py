@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import build_manual_lstm
+from repro.forecast import PODCoefficientPipeline, PODLSTMEmulator
+from repro.forecast.scaling import StandardScaler
 from repro.nas.space import StackedLSTMSpace, build_network
 from repro.nn import DenseLayer, GRULayer, LSTMLayer, Network
 from repro.nn.layers import AddLayer
 from repro.nn.serialization import load_network, save_network
 from repro.nn.training import Trainer
+from tests.test_serve_bundle import assert_bundle_round_trip_bitwise
 
 
 class TestNetworkSerialization:
@@ -86,6 +89,20 @@ class TestNetworkSerialization:
         x = rng.standard_normal((2, 5, 3))
         np.testing.assert_allclose(loaded.forward(x), net.forward(x),
                                    atol=1e-14)
+
+
+class TestEmulatorSerialization:
+    def test_standard_scaler_variant(self, tmp_path, generator):
+        """A pipeline that standardizes (rather than min-max scales) its
+        POD coefficients survives the bundle round trip bit for bit."""
+        snaps = generator.snapshots(np.arange(50))
+        emulator = PODLSTMEmulator(n_modes=2, window=3,
+                                   trainer=Trainer(epochs=1, batch_size=16))
+        emulator.pipeline = PODCoefficientPipeline(2, 3,
+                                                   scaler=StandardScaler())
+        emulator.fit(snaps, rng=0)
+        assert_bundle_round_trip_bitwise(emulator, snaps,
+                                         tmp_path / "std.npz")
 
 
 class TestLegacyNetworkFixtures:

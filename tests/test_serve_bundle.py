@@ -12,24 +12,24 @@ import json
 import numpy as np
 import pytest
 
-from repro.forecast import PODCoefficientPipeline, PODLSTMEmulator
-from repro.forecast.scaling import StandardScaler
-from repro.nn import Trainer
+from repro.forecast import PODLSTMEmulator
 from repro.serve import (BUNDLE_FORMAT, BUNDLE_VERSION, load_bundle,
                          read_bundle_header, save_bundle)
 
 
-@pytest.fixture(scope="module")
-def standard_emulator(generator):
-    """An emulator whose pipeline standardizes (rather than min-max
-    scales) its POD coefficients: the other scaler state a bundle must
-    carry."""
-    emulator = PODLSTMEmulator(n_modes=2, window=3,
-                               trainer=Trainer(epochs=1, batch_size=16))
-    emulator.pipeline = PODCoefficientPipeline(2, 3,
-                                               scaler=StandardScaler())
-    emulator.fit(generator.snapshots(np.arange(50)), rng=0)
-    return emulator
+def assert_bundle_round_trip_bitwise(emulator, snaps, path):
+    """A bundle written from ``emulator`` loads back into one whose
+    window predictions, pipeline transform and field forecasts are
+    bit-for-bit those of the original."""
+    windows = emulator.pipeline.windows_from_snapshots(snaps).inputs
+    loaded = load_bundle(save_bundle(emulator, path))
+    np.testing.assert_array_equal(loaded.predict_windows(windows),
+                                  emulator.predict_windows(windows))
+    np.testing.assert_array_equal(loaded.pipeline.transform(snaps),
+                                  emulator.pipeline.transform(snaps))
+    for got, want in zip(loaded.forecast_fields(snaps, horizon=1),
+                         emulator.forecast_fields(snaps, horizon=1)):
+        np.testing.assert_array_equal(got, want)
 
 
 def _write_raw(path, header):
@@ -40,21 +40,10 @@ def _write_raw(path, header):
 
 class TestRoundTrip:
     def test_forecasts_bitwise_identical(self, tmp_path, tiny_emulator,
-                                         standard_emulator, generator):
-        snaps = generator.snapshots(np.arange(60))
-        for emulator in (tiny_emulator, standard_emulator):
-            windows = emulator.pipeline.windows_from_snapshots(snaps).inputs
-            loaded = load_bundle(save_bundle(emulator,
-                                             tmp_path / "model.npz"))
-            np.testing.assert_array_equal(
-                loaded.predict_windows(windows),
-                emulator.predict_windows(windows))
-            np.testing.assert_array_equal(
-                loaded.pipeline.transform(snaps),
-                emulator.pipeline.transform(snaps))
-            for got, want in zip(loaded.forecast_fields(snaps, horizon=1),
-                                 emulator.forecast_fields(snaps, horizon=1)):
-                np.testing.assert_array_equal(got, want)
+                                         generator):
+        assert_bundle_round_trip_bitwise(
+            tiny_emulator, generator.snapshots(np.arange(60)),
+            tmp_path / "model.npz")
 
     def test_pipeline_state_exact(self, tmp_path, tiny_emulator, generator):
         path = save_bundle(tiny_emulator, tmp_path / "model.npz")
