@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.tree import DecisionTreeRegressor
+from repro.baselines.tree import DecisionTreeRegressor, check_max_features
 from repro.utils.rng import as_generator, spawn
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -28,7 +28,7 @@ class RandomForestRegressor:
                                                name="n_estimators")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
+        self.max_features = check_max_features(max_features)
         self.bootstrap = bootstrap
         self.rng = as_generator(rng)
         self.estimators_: list[DecisionTreeRegressor] = []

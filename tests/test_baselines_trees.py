@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     DecisionTreeRegressor,
@@ -103,6 +104,79 @@ class TestDecisionTree:
         t2 = DecisionTreeRegressor(max_features=2, rng=7).fit(x, y)
         np.testing.assert_allclose(t1.predict(x), t2.predict(x))
 
+    @pytest.mark.parametrize("max_features", [0, -3, True, False, 0.0,
+                                              -0.5, 1.5, 2.0, float("nan"),
+                                              "sqrt"])
+    def test_invalid_max_features(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeRegressor(max_features=max_features)
+
+    @pytest.mark.parametrize("max_features, expected", [
+        (None, 3), (1, 1), (np.int64(2), 2), (10, 3), (0.5, 2), (1.0, 3),
+        (0.01, 1)])
+    def test_valid_max_features(self, max_features, expected):
+        tree = DecisionTreeRegressor(max_features=max_features)
+        assert tree._n_split_features(3) == expected
+
+    @pytest.mark.parametrize("x", [[np.nextafter(1.0, 0.0), 1.0],
+                                   [1e308, 1.7e308],
+                                   [-1.7e308, -1e308],
+                                   [-5e-324, 0.0]],
+                             ids=["adjacent", "overflow", "neg-overflow",
+                                  "subnormal"])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_threshold_separates_neighbours(self, x, max_depth):
+        """The midpoint of two adjacent doubles rounds up to the larger
+        one, and the midpoint of two huge ones overflows to inf: either
+        threshold would send both rows left."""
+        x = np.array(x)[:, None]
+        y = np.array([[0.0], [1.0]])
+        tree = DecisionTreeRegressor(max_depth=max_depth).fit(x, y)
+        assert tree.depth() == 1
+        assert x[0, 0] <= tree._root.threshold < x[1, 0]
+        np.testing.assert_array_equal(tree.predict(x), y)
+
+
+def _split_sizes(node, x):
+    """(left, right) row counts of every split and the row count of every
+    leaf, routing the training rows down the tree."""
+    if node.is_leaf:
+        return [], [len(x)]
+    mask = x[:, node.feature] <= node.threshold
+    splits_l, leaves_l = _split_sizes(node.left, x[mask])
+    splits_r, leaves_r = _split_sizes(node.right, x[~mask])
+    return ([(int(mask.sum()), int((~mask).sum()))] + splits_l + splits_r,
+            leaves_l + leaves_r)
+
+
+# Extreme neighbours (adjacent doubles, overflowing sums, subnormals)
+# mixed with arbitrary finite floats; few distinct values make ties.
+_EDGE_VALUES = [np.nextafter(1.0, 0.0), 1.0, 1e308, 1.7e308, -1.7e308,
+                -5e-324, 5e-324, 0.0]
+_x_values = st.one_of(st.sampled_from(_EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 24), n_features=st.integers(1, 3),
+       min_samples_leaf=st.integers(1, 4),
+       max_depth=st.one_of(st.none(), st.integers(1, 5)))
+def test_splits_respect_min_samples_leaf(data, n, n_features,
+                                         min_samples_leaf, max_depth):
+    """Every split sends at least ``min_samples_leaf`` rows each way and
+    no leaf is empty, whatever the feature values."""
+    x = np.array(data.draw(st.lists(_x_values, min_size=n * n_features,
+                                    max_size=n * n_features)),
+                 dtype=float).reshape(n, n_features)
+    y = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                    max_size=n)))[:, None]
+    tree = DecisionTreeRegressor(max_depth=max_depth,
+                                 min_samples_leaf=min_samples_leaf).fit(x, y)
+    splits, leaves = _split_sizes(tree._root, x)
+    assert all(min(pair) >= min_samples_leaf for pair in splits)
+    assert min(leaves) >= 1
+    assert np.all(np.isfinite(tree.predict(x)))
+
 
 class TestRandomForest:
     def test_improves_over_single_tree_oob(self, rng):
@@ -131,6 +205,11 @@ class TestRandomForest:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("max_features", [0, -1, True, 1.5])
+    def test_invalid_max_features(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestRegressor(max_features=max_features)
 
     def test_reproducible(self, smooth_data):
         x, y = smooth_data
